@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/exp"
 	"repro/internal/stats"
 )
 
@@ -117,48 +118,31 @@ func loadJSON(data []byte, path string) ([]stats.Sample, snapshotEnv, error) {
 
 // samplesFromRuns groups per-run metric records by experiment/scenario
 // cell and collects each numeric field's values across the cell's runs.
-// The nested "dist" map (latency quantiles) is flattened into its keys.
+// The nested distribution map (latency quantiles) is flattened into its
+// keys.
 func samplesFromRuns(runs []map[string]any) ([]stats.Sample, error) {
-	type key struct{ cell, metric string }
-	values := map[key][]float64{}
-	order := []key{}
-	add := func(k key, v float64) {
-		if _, seen := values[k]; !seen {
-			order = append(order, k)
-		}
-		values[k] = append(values[k], v)
-	}
+	var rv runValues
 	for _, run := range runs {
-		exp, _ := run["experiment"].(string)
+		expName, _ := run["experiment"].(string)
 		scenario, _ := run["scenario"].(string)
-		cell := exp + "/" + scenario
+		cell := expName + "/" + scenario
 		for _, name := range sortedKeys(run) {
 			switch v := run[name].(type) {
 			case float64:
-				add(key{cell, name}, v)
+				rv.add(cell, name, v)
 			case map[string]any:
-				if name != "dist" {
-					continue
-				}
 				for _, dk := range sortedKeys(v) {
 					if dv, ok := v[dk].(float64); ok {
-						add(key{cell, dk}, dv)
+						rv.add(cell, dk, dv)
 					}
 				}
 			}
 		}
 	}
-	if len(order) == 0 {
+	if len(rv.order) == 0 {
 		return nil, fmt.Errorf("no numeric per-run metrics found")
 	}
-	out := make([]stats.Sample, 0, len(order))
-	for _, k := range order {
-		out = append(out, stats.Sample{
-			Cell: k.cell, Metric: k.metric, Unit: metricUnit(k.metric),
-			Values: values[k],
-		})
-	}
-	return out, nil
+	return rv.samples(), nil
 }
 
 func loadCSV(data []byte) ([]stats.Sample, error) {
@@ -174,9 +158,7 @@ func loadCSV(data []byte) ([]stats.Sample, error) {
 	for i, name := range header {
 		col[name] = i
 	}
-	type key struct{ cell, metric string }
-	values := map[key][]float64{}
-	order := []key{}
+	var rv runValues
 	for _, row := range rows[1:] {
 		cell := row[col["experiment"]] + "/" + row[col["scenario"]]
 		for i, field := range row {
@@ -184,45 +166,46 @@ func loadCSV(data []byte) ([]stats.Sample, error) {
 			if name == "experiment" || name == "scenario" || field == "" {
 				continue
 			}
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				continue
+			if v, err := strconv.ParseFloat(field, 64); err == nil {
+				rv.add(cell, name, v)
 			}
-			k := key{cell, name}
-			if _, seen := values[k]; !seen {
-				order = append(order, k)
-			}
-			values[k] = append(values[k], v)
 		}
 	}
-	out := make([]stats.Sample, 0, len(order))
-	for _, k := range order {
-		out = append(out, stats.Sample{
-			Cell: k.cell, Metric: k.metric, Unit: metricUnit(k.metric),
-			Values: values[k],
-		})
-	}
-	return out, nil
+	return rv.samples(), nil
 }
 
-// metricUnit derives a unit label from the repo's metric-naming
-// conventions; unknown names get no unit.
-func metricUnit(metric string) string {
-	switch {
-	case strings.HasSuffix(metric, "_seconds") || strings.HasSuffix(metric, "_sec"):
-		return "seconds"
-	case strings.HasSuffix(metric, "_bytes"):
-		return "bytes"
-	case strings.HasPrefix(metric, "packets") || strings.HasSuffix(metric, "_pa"):
-		return "packets"
-	case strings.Contains(metric, "_ms_"):
-		return "ms"
-	case strings.HasSuffix(metric, "_pct") || strings.HasSuffix(metric, "_ratio"):
-		return "ratio"
-	case metric == "ns_per_op":
-		return "ns/op"
+// runValues groups per-run record values by (cell, metric), keeping the
+// order in which each pair was first seen.
+type runValues struct {
+	order  []cellMetric
+	values map[cellMetric][]float64
+}
+
+type cellMetric struct{ cell, metric string }
+
+func (rv *runValues) add(cell, metric string, v float64) {
+	k := cellMetric{cell, metric}
+	if rv.values == nil {
+		rv.values = map[cellMetric][]float64{}
 	}
-	return ""
+	if _, seen := rv.values[k]; !seen {
+		rv.order = append(rv.order, k)
+	}
+	rv.values[k] = append(rv.values[k], v)
+}
+
+// samples returns one sample per (cell, metric), carrying the metric's
+// unit and polarity from the record schema.
+func (rv *runValues) samples() []stats.Sample {
+	out := make([]stats.Sample, 0, len(rv.order))
+	for _, k := range rv.order {
+		col := exp.ColumnOf(k.metric)
+		out = append(out, stats.Sample{
+			Cell: k.cell, Metric: k.metric, Unit: col.Unit, Better: col.Better,
+			Values: rv.values[k],
+		})
+	}
+	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -2,10 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exp"
+	"repro/internal/stats"
 )
 
 func write(t *testing.T, name, content string) string {
@@ -245,5 +252,105 @@ func TestEnvMismatchWarns(t *testing.T) {
 	run([]string{plain, old}, &stdout, &stderr)
 	if strings.Contains(stderr.String(), "environment mismatch") {
 		t.Errorf("pre-stamp baseline warned:\n%s", stderr.String())
+	}
+}
+
+// TestHeaderBytesSavedIsHigherBetter: header_bytes_saved counts bytes
+// the header coder saved, so halving it is a regression, exactly like
+// halving cache_bytes_saved.
+func TestHeaderBytesSavedIsHigherBetter(t *testing.T) {
+	csvFile := func(name string, saved ...int) string {
+		var b strings.Builder
+		b.WriteString("experiment,scenario,seed,run,header_bytes_saved\n")
+		for i, v := range saved {
+			fmt.Fprintf(&b, "mux,s,%d,%d,%d\n", i+1, i, v)
+		}
+		return write(t, name, b.String())
+	}
+	old := csvFile("old.csv", 7779, 7781, 7780, 7779, 7782)
+	newer := csvFile("new.csv", 3890, 3889, 3891, 3890, 3890)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{old, newer}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d on halved header_bytes_saved, want 1\n%s", code, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "REGRESS mux/s header_bytes_saved") {
+		t.Errorf("halved header_bytes_saved not reported as a regression:\n%s", stdout.String())
+	}
+}
+
+// TestRunRecordUnits loads the -json and -csv forms of a small run's
+// records and checks every sample carries the unit and polarity its
+// Metrics field's tag declares.
+func TestRunRecordUnits(t *testing.T) {
+	type decl struct {
+		unit, better string
+	}
+	want := map[string]decl{}
+	typ := reflect.TypeOf(exp.Metrics{})
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		parts := strings.Split(typ.Field(i).Tag.Get("metric"), ",")
+		want[name] = decl{parts[0], parts[1]}
+	}
+	polarity := map[string]stats.Polarity{"lower": stats.LowerIsBetter, "higher": stats.HigherIsBetter, "none": stats.Ungated}
+
+	site, err := core.DefaultSite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := exp.NewCollector()
+	for _, spec := range []string{"apache/mux-push/WAN/first", "jigsaw/pipelined/WAN/first/proxy:WAN:warm"} {
+		sc, err := core.ParseScenario(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m exp.Metrics
+		if _, err := core.Run(sc, site, core.WithMetrics(&m), core.WithTimeline(), core.WithStats(), core.WithBlame()); err != nil {
+			t.Fatal(err)
+		}
+		col.Add(m)
+	}
+	var csvOut bytes.Buffer
+	if err := col.WriteCSV(&csvOut); err != nil {
+		t.Fatal(err)
+	}
+	jsonOut, err := json.Marshal(map[string]any{"runs": col.Records()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ name, content string }{
+		{"runs.csv", csvOut.String()},
+		{"runs.json", string(jsonOut)},
+	} {
+		samples, _, err := loadSamples(write(t, f.name, f.content))
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := map[string]string{}
+		for _, s := range samples {
+			w, ok := want[s.Metric]
+			if !ok && strings.HasPrefix(s.Metric, "lat_") {
+				w, ok = want["dist"], true
+			}
+			if !ok {
+				t.Errorf("%s: sample %s is no Metrics column", f.name, s.Metric)
+				continue
+			}
+			if s.Unit != w.unit || s.Better != polarity[w.better] {
+				t.Errorf("%s: %s carries [%s] polarity %d, want [%s] %s", f.name, s.Metric, s.Unit, s.Better, w.unit, w.better)
+			}
+			units[s.Metric] = s.Unit
+		}
+		for metric, unit := range map[string]string{
+			"blame_wire_ms": "ms", "critical_path_ms": "ms", "cache_bytes_saved": "bytes",
+			"header_bytes_saved": "bytes", "lat_total_ms_p50": "ms", "packets": "packets",
+		} {
+			if units[metric] != unit {
+				t.Errorf("%s: %s unit %q, want %q", f.name, metric, units[metric], unit)
+			}
+		}
+		if _, ok := units["sim_events_per_sec"]; ok != (f.name == "runs.json") {
+			t.Errorf("%s: sim_events_per_sec present = %v; it belongs to the JSON records only", f.name, ok)
+		}
 	}
 }

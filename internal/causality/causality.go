@@ -16,9 +16,9 @@
 // same partition restricted to the chain segments explains *why* that
 // chain was slow.
 //
-// The analyzer is a passive bus subscriber: it only reads events, so
-// an armed run is byte-identical to an unarmed one (pinned by test,
-// like the timeline and telemetry layers).
+// The analyzer is a passive bus reader — core replays a finished run's
+// bus through Analyze — so an armed run is byte-identical to an unarmed
+// one (pinned by test, like the timeline and telemetry layers).
 package causality
 
 import (
@@ -74,9 +74,6 @@ func (c Category) String() string {
 	}
 	return "unknown"
 }
-
-// MetricKey is the category's exp.Metrics / CSV column name.
-func (c Category) MetricKey() string { return "blame_" + c.String() + "_ms" }
 
 // Blame is a per-category delay vector in simulator time.
 type Blame [NumCategories]sim.Duration

@@ -5,58 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/httpclient"
-	"repro/internal/httpserver"
 	"repro/internal/netem"
 	"repro/internal/report"
 )
-
-// TestBlameDoesNotPerturb is the attribution layer's ride-along
-// contract: arming the analyzer must not change the run. Same packet
-// trace, same Perfetto timeline, same client counters — the collector
-// only reads bus events. Burst loss picks the busiest code paths
-// (retransmits, watchdog, retries).
-func TestBlameDoesNotPerturb(t *testing.T) {
-	site, err := core.DefaultSite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := core.Scenario{
-		Server:   httpserver.ProfileApache,
-		Client:   httpclient.ModeHTTP11Pipelined,
-		Env:      netem.WAN,
-		Workload: httpclient.FirstTime,
-		Seed:     11,
-		Fault:    faults.BurstLoss,
-	}
-	runArtifacts := func(opts ...core.Option) (pcap, perfetto []byte, cl httpclient.Result) {
-		res, err := core.Run(sc, site, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		var pc, pf bytes.Buffer
-		if err := res.Capture.WritePcap(&pc); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Timeline.WritePerfetto(&pf); err != nil {
-			t.Fatal(err)
-		}
-		return pc.Bytes(), pf.Bytes(), res.Client
-	}
-
-	plainPcap, plainPerfetto, plainClient := runArtifacts(core.WithCapture(), core.WithTimeline())
-	blamePcap, blamePerfetto, blameClient := runArtifacts(core.WithCapture(), core.WithTimeline(), core.WithBlame())
-	if !bytes.Equal(plainPcap, blamePcap) {
-		t.Error("pcap differs with attribution armed")
-	}
-	if !bytes.Equal(plainPerfetto, blamePerfetto) {
-		t.Error("Perfetto timeline differs with attribution armed")
-	}
-	if plainClient != blameClient {
-		t.Errorf("client result differs with attribution armed:\n  plain %+v\n  blame %+v", plainClient, blameClient)
-	}
-}
 
 // TestCriticalPathProperties checks the chain's structural invariants
 // on a real run: links tile contiguously earliest-first, the path

@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -274,33 +273,35 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	clientHost := net.AddHost("client")
 	serverHost := net.AddHost("server")
 
-	// The bus exists for a timeline run (every layer publishes into it),
-	// for a stats run (only the client's request-lifecycle spans are
-	// needed, so the other layers stay unwired and the bus stays small),
-	// and for a flight-recorded run (the recorder subscribes to the
-	// fully-wired bus but retains only a bounded tail). Wiring the bus
-	// never perturbs the simulation — publishers observe, they do not
-	// schedule — so a flight-armed run still measures byte-identically.
-	flight := telemetry.ActiveFlight()
-	wired := cfg.timeline || cfg.blame || flight != nil
-	var bus *obs.Bus
-	if wired || cfg.stats {
+	// The bus exists only when an observer reads it. stackBus is the bus
+	// the network, server and proxy layers publish into: nil unless an
+	// observer needs the whole stack, so a stats-only run records just
+	// the client's spans. Publishing never perturbs the simulation —
+	// publishers observe, they do not schedule.
+	observers := cfg.observers()
+	need := noBus
+	for _, o := range observers {
+		need = max(need, o.bus)
+	}
+	var bus, stackBus *obs.Bus
+	if need > noBus {
 		bus = obs.New(s)
 	}
-	if wired {
-		net.Obs = bus
+	if need == wiredBus {
+		stackBus = bus
 	}
+	net.Obs = stackBus
 
 	var rng *sim.Rand
 	cpuJitter := 0.0
 	pathOpts := netem.PathOptions{}
-	if wired {
+	if stackBus != nil {
 		pathOpts.Observer = func(ev netem.LinkEvent) {
 			if ev.Dropped {
-				bus.WireDrop(ev.Link, ev.WireBytes)
+				stackBus.WireDrop(ev.Link, ev.WireBytes)
 				return
 			}
-			bus.WireSend(ev.Link, ev.WireBytes, ev.Start, ev.Done, ev.Arrive)
+			stackBus.WireSend(ev.Link, ev.WireBytes, ev.Start, ev.Done, ev.Arrive)
 		}
 	}
 	if sc.Jitter {
@@ -374,9 +375,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		serverCfg.MuxFIFO = true
 	}
 	serverCfg.EnableDeflate = serverCfg.EnableDeflate || clientCfg.AcceptDeflate
-	if wired {
-		serverCfg.Obs = bus
-	}
+	serverCfg.Obs = stackBus
 	clientCfg.Obs = bus
 	if sc.Fault != faults.None {
 		serverCfg.Faults = script.Server
@@ -419,10 +418,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 				}
 			}
 		}
-		proxyCfg := proxy.Config{Cache: pcache, NoDelay: true}
-		if wired {
-			proxyCfg.Obs = bus
-		}
+		proxyCfg := proxy.Config{Cache: pcache, NoDelay: true, Obs: stackBus}
 		if sc.Fault != faults.None {
 			pol := faults.Default()
 			proxyCfg.Recovery = &pol
@@ -445,90 +441,41 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		robot.Start("/", sc.Workload, nil)
 	})
 
-	// Causality analyzer: a passive subscriber accumulating cause
-	// intervals per connection as events flow. It only reads, so an
-	// armed run stays byte-identical to an unarmed one.
-	var blameCol *causality.Collector
-	if cfg.blame {
-		blameCol = causality.NewCollector()
-		detach := bus.Subscribe(blameCol.Observe)
-		defer detach()
-	}
-
-	// Flight recorder: retain the tail of the event stream in a bounded
-	// ring, note whether the client's recovery watchdog ever fired, and
-	// keep a dump closure ready for the three triggers — panic, watchdog,
-	// cell error. The subscriber runs on the simulation goroutine and
-	// only appends to the ring, so recording never perturbs the run.
-	var ring *telemetry.Ring[obs.Event]
-	sawWatchdog := false
-	if flight != nil {
-		ring = telemetry.NewRing[obs.Event](flight.Events())
-		detach := bus.Subscribe(func(ev obs.Event) {
-			ring.Push(ev)
-			if ev.Kind == obs.KindClientTimeout {
-				sawWatchdog = true
-			}
-		})
-		defer detach()
-	}
-	dump := func(reason string) {
-		if flight == nil {
-			return
+	// Observers finish on every way out of the run: with its result, or
+	// without one when the client never finished or the run panicked.
+	var res *RunResult
+	rs := &runState{sc: sc, sim: s, bus: bus, capture: capture, failure: "error"}
+	for _, o := range observers {
+		if o.attach != nil {
+			o.attach(rs)
 		}
-		flight.Dump(telemetry.DumpSource{
-			Label:   sc.String(),
-			Reason:  reason,
-			Events:  ring.Len(),
-			Dropped: ring.Dropped(),
-			Perfetto: func(w *os.File) error {
-				return obs.WritePerfettoEvents(w, ring.Snapshot(), bus.Conns(), bus.Spans())
-			},
-			Pcap: func(w *os.File) error {
-				return capture.WritePcap(w)
-			},
-		})
 	}
-	if flight != nil {
+	if len(observers) > 0 {
 		defer func() {
-			if r := recover(); r != nil {
-				dump("panic")
-				panic(r)
+			p := recover()
+			if p != nil {
+				res, rs.failure = nil, "panic"
+			}
+			for _, o := range observers {
+				o.finish(rs, res, cfg.metrics)
+			}
+			if p != nil {
+				panic(p)
 			}
 		}()
 	}
 
-	// Live engine telemetry: with a stream active, run with safe-point
-	// polls publishing the engine's counters into the process registry.
-	// RunWithPoll fires the exact same events in the exact same order as
-	// Run, so an observed run still produces byte-identical results.
-	var tracker *telemetry.SimTracker
-	if telemetry.Active() {
-		tracker = telemetry.NewSimTracker(telemetry.Default())
-	}
 	wallStart := time.Now()
-	if tracker != nil {
-		s.RunWithPoll(telemetry.PollEvents, func() {
-			st := s.Stats()
-			tracker.Poll(st.Fired, st.Pending, st.WheelDepth, st.PoolInUse)
-		})
-		tracker.Finish(s.Stats().Fired)
-	} else {
-		s.Run()
-	}
+	s.RunWithPoll(telemetry.PollEvents, rs.poll)
 	if testHookAfterRun != nil {
 		testHookAfterRun(sc)
 	}
 	wall := time.Since(wallStart)
 
 	if !robot.Finished() {
-		dump("error")
 		return nil, fmt.Errorf("%w: %s", ErrDidNotFinish, sc)
 	}
-	if sawWatchdog {
-		dump("watchdog")
-	}
-	res := &RunResult{
+	res = &RunResult{
 		Scenario: sc,
 		Stats:    capture.Stats("client"),
 		Client:   robot.Result(),
@@ -544,27 +491,6 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	res.Elapsed = res.Stats.Elapsed()
 	if cfg.capture {
 		res.Capture = capture
-	}
-	if cfg.timeline {
-		res.Timeline = bus
-	}
-	if cfg.blame {
-		res.Blame = blameCol.Finish(bus)
-	}
-	if cfg.stats {
-		// Per-request latencies derive from the client's lifecycle spans:
-		// queue = decided-to-fetch → request handed to TCP, TTFB = request
-		// written → first response byte, total = decided → complete.
-		// Intermediary-originated spans (Via) and abandoned spans never
-		// completed carry no client-visible latency and are skipped.
-		ls := &stats.LatencySet{}
-		for _, sp := range bus.Spans() {
-			if sp.Via != "" || sp.Done == obs.NoTime || sp.Written == obs.NoTime {
-				continue
-			}
-			ls.Observe(int64(sp.Written-sp.Queued), int64(sp.FirstByte-sp.Written), int64(sp.Done-sp.Queued))
-		}
-		res.Latency = ls
 	}
 	if m := cfg.metrics; m != nil {
 		st := res.Stats
@@ -611,22 +537,6 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		if secs := wall.Seconds(); secs > 0 {
 			m.SimEventsPerSec = float64(m.SimEvents) / secs
 		}
-		if cfg.timeline {
-			m.TimelineEvents = bus.Len()
-			m.TimelineSpans = len(bus.Spans())
-		}
-		if a := res.Blame; a != nil {
-			m.BlameConnectMs = a.Total.Ms(causality.CatConnect)
-			m.BlameRTOMs = a.Total.Ms(causality.CatRTO)
-			m.BlameNagleMs = a.Total.Ms(causality.CatNagle)
-			m.BlameFlowMs = a.Total.Ms(causality.CatFlow)
-			m.BlameSlowStartMs = a.Total.Ms(causality.CatSlowStart)
-			m.BlameServerMs = a.Total.Ms(causality.CatServer)
-			m.BlameHOLMs = a.Total.Ms(causality.CatHOL)
-			m.BlameWireMs = a.Total.Ms(causality.CatWire)
-			m.CriticalPathMs = float64(a.CriticalPath) / 1e6
-		}
-		m.Dist = res.Latency.DistMap()
 		if res.Proxy != nil {
 			p := res.Proxy
 			m.CacheHits = p.Hits

@@ -142,41 +142,6 @@ func TestProxyDeterminism(t *testing.T) {
 	}
 }
 
-// TestProxyTimelineDoesNotPerturb extends the golden-output guarantee
-// to multi-hop runs: observing a proxied run must not change what any
-// tier measures.
-func TestProxyTimelineDoesNotPerturb(t *testing.T) {
-	site := testSite(t)
-	sc := proxyScenario(httpclient.ModeHTTP11Pipelined, false, false)
-	plain, err := Run(sc, site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, err := Run(sc, site, WithTimeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Stats, observed.Stats) || !reflect.DeepEqual(plain.Origin, observed.Origin) {
-		t.Fatalf("link stats differ with timeline on:\n%+v / %+v\nvs\n%+v / %+v",
-			plain.Stats, plain.Origin, observed.Stats, observed.Origin)
-	}
-	if !reflect.DeepEqual(plain.Proxy, observed.Proxy) {
-		t.Fatalf("proxy stats differ with timeline on:\n%+v\nvs\n%+v", plain.Proxy, observed.Proxy)
-	}
-	if !reflect.DeepEqual(plain.Client, observed.Client) {
-		t.Fatal("client results differ with timeline on")
-	}
-	via := 0
-	for _, sp := range observed.Timeline.Spans() {
-		if sp.Via != "" {
-			via++
-		}
-	}
-	if via == 0 {
-		t.Fatal("no spans tagged with the proxy's Via on an observed proxy run")
-	}
-}
-
 // TestProxyTableDeterminism runs the proxy experiment generator at both
 // pool widths; the rows must be identical.
 func TestProxyTableDeterminism(t *testing.T) {

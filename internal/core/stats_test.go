@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -24,40 +23,6 @@ func TestStatsDisabledByDefault(t *testing.T) {
 	}
 	if m.Dist != nil {
 		t.Fatalf("Dist metrics present without WithStats: %v", m.Dist)
-	}
-}
-
-// TestStatsDoNotPerturb is the golden-output guarantee for the stats
-// layer: a run collecting per-request latency histograms must measure
-// identically to the same run without them.
-func TestStatsDoNotPerturb(t *testing.T) {
-	site, err := core.DefaultSite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, env := range []netem.Environment{netem.LAN, netem.PPP} {
-		sc := timelineScenario(env)
-		plain, err := core.Run(sc, site)
-		if err != nil {
-			t.Fatal(err)
-		}
-		observed, err := core.Run(sc, site, core.WithStats())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain.Stats, observed.Stats) {
-			t.Fatalf("%v: stats differ with latency collection on:\nplain:    %+v\nobserved: %+v",
-				env, plain.Stats, observed.Stats)
-		}
-		if !reflect.DeepEqual(plain.Client, observed.Client) {
-			t.Fatalf("%v: client results differ with latency collection on", env)
-		}
-		if !reflect.DeepEqual(plain.Server, observed.Server) {
-			t.Fatalf("%v: server stats differ with latency collection on", env)
-		}
-		if observed.Timeline != nil {
-			t.Fatalf("%v: WithStats exposed a timeline bus", env)
-		}
 	}
 }
 

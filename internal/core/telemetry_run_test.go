@@ -37,53 +37,6 @@ func withTelemetry(t *testing.T, fn func(stream *bytes.Buffer, flightDir string)
 	fn(&buf, dir)
 }
 
-// TestTelemetryDoesNotPerturb is the contract the whole telemetry layer
-// hangs on: with a stream and flight recorder armed the simulation must
-// produce byte-identical artifacts — same packet trace, same Perfetto
-// timeline, same client counters. Telemetry observes the run; it never
-// steers it.
-func TestTelemetryDoesNotPerturb(t *testing.T) {
-	site := testSite(t)
-	sc := Scenario{
-		Server:   httpserver.ProfileApache,
-		Client:   httpclient.ModeHTTP11Pipelined,
-		Env:      netem.WAN,
-		Workload: httpclient.FirstTime,
-		Seed:     11,
-		Fault:    faults.BurstLoss, // retries + watchdog traffic: the busiest code paths
-	}
-
-	runArtifacts := func() (pcap, perfetto []byte, cl httpclient.Result) {
-		res, err := Run(sc, site, WithCapture(), WithTimeline(), WithStats())
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		var pc, pf bytes.Buffer
-		if err := res.Capture.WritePcap(&pc); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Timeline.WritePerfetto(&pf); err != nil {
-			t.Fatal(err)
-		}
-		return pc.Bytes(), pf.Bytes(), res.Client
-	}
-
-	plainPcap, plainPerfetto, plainClient := runArtifacts()
-
-	withTelemetry(t, func(stream *bytes.Buffer, flightDir string) {
-		obsPcap, obsPerfetto, obsClient := runArtifacts()
-		if !bytes.Equal(plainPcap, obsPcap) {
-			t.Error("pcap differs with telemetry armed")
-		}
-		if !bytes.Equal(plainPerfetto, obsPerfetto) {
-			t.Error("Perfetto timeline differs with telemetry armed")
-		}
-		if plainClient != obsClient {
-			t.Errorf("client result differs with telemetry armed:\n  plain    %+v\n  observed %+v", plainClient, obsClient)
-		}
-	})
-}
-
 // TestFlightDumpOnWatchdog runs a stall-fault cell — the scripted way to
 // trip the client watchdog — and checks the recorder leaves a parseable
 // pair of artifacts behind and announces them on the stream.

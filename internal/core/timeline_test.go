@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -41,37 +40,6 @@ func TestTimelineDisabledByDefault(t *testing.T) {
 	}
 	if m.TimelineEvents != 0 || m.TimelineSpans != 0 {
 		t.Fatalf("timeline metrics %d/%d without WithTimeline", m.TimelineEvents, m.TimelineSpans)
-	}
-}
-
-// TestTimelineDoesNotPerturb is the golden-output guarantee: a run
-// observed by the full event bus must measure identically to the same
-// run without it.
-func TestTimelineDoesNotPerturb(t *testing.T) {
-	site, err := core.DefaultSite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, env := range []netem.Environment{netem.LAN, netem.PPP} {
-		sc := timelineScenario(env)
-		plain, err := core.Run(sc, site)
-		if err != nil {
-			t.Fatal(err)
-		}
-		observed, err := core.Run(sc, site, core.WithTimeline())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain.Stats, observed.Stats) {
-			t.Fatalf("%v: stats differ with timeline on:\nplain:    %+v\nobserved: %+v",
-				env, plain.Stats, observed.Stats)
-		}
-		if !reflect.DeepEqual(plain.Client, observed.Client) {
-			t.Fatalf("%v: client results differ with timeline on", env)
-		}
-		if !reflect.DeepEqual(plain.Server, observed.Server) {
-			t.Fatalf("%v: server stats differ with timeline on", env)
-		}
 	}
 }
 

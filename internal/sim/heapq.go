@@ -3,8 +3,8 @@ package sim
 // heapQueue is the legacy event queue: a binary min-heap that allocates
 // a tracking item per insert, exactly like the original container/heap
 // engine allocated a *Timer per event. It is kept as the reference
-// implementation for differential tests (build tag simlegacy makes it
-// the default engine) and as the honest baseline for BenchmarkEngine —
+// implementation for differential tests (SetDefaultEngine makes it the
+// default engine) and as the honest baseline for BenchmarkEngine —
 // collapsing its allocation behaviour would overstate the wheel's win.
 type heapQueue struct {
 	items []*heapItem

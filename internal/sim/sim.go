@@ -69,10 +69,12 @@ func (e Engine) String() string {
 	return "wheel"
 }
 
+// defaultEngine is the engine New uses.
+var defaultEngine = EngineWheel
+
 // SetDefaultEngine changes the engine New uses and returns the previous
-// default. It exists for differential tests; production code should not
-// call it. The simlegacy build tag flips the compiled-in default to
-// EngineHeap.
+// default. It exists so the differential tests can run whole
+// experiments on the heap oracle; production code should not call it.
 func SetDefaultEngine(e Engine) Engine {
 	prev := defaultEngine
 	defaultEngine = e
@@ -146,7 +148,7 @@ type Simulator struct {
 }
 
 // New returns an empty simulator with the clock at zero, on the default
-// engine (the timer wheel unless built with the simlegacy tag).
+// engine (the timer wheel unless a test swapped in the heap).
 func New() *Simulator { return NewWithEngine(defaultEngine) }
 
 // NewWithEngine returns an empty simulator on the given engine.

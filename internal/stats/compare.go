@@ -9,13 +9,44 @@ import (
 // Sample is one metric's value population in one cell of a snapshot —
 // the unit Compare works on. Cell identifies the measurement context
 // (an experiment/scenario pair, a benchmark name); Metric names the
-// measured quantity; Values holds one entry per repetition (a single
-// entry for unreplicated snapshots like bench output).
+// measured quantity; Better is its polarity when the snapshot format
+// declares one; Values holds one entry per repetition (a single entry
+// for unreplicated snapshots like bench output).
 type Sample struct {
 	Cell   string
 	Metric string
 	Unit   string
+	Better Polarity
 	Values []float64
+}
+
+// Polarity says which way a metric improves.
+type Polarity int8
+
+const (
+	// ByName, the zero value, leaves the polarity to Direction's naming
+	// rules: the case for benchmark snapshots, whose metrics declare
+	// none.
+	ByName Polarity = iota
+	LowerIsBetter
+	HigherIsBetter
+	// Ungated marks bookkeeping quantities that must not be gated on
+	// (seeds, run indices, event counts).
+	Ungated
+)
+
+// direction is the sample's polarity as Compare uses it: +1 when a
+// higher value is worse, −1 when higher is better, 0 when ungated.
+func (s Sample) direction() int {
+	switch s.Better {
+	case LowerIsBetter:
+		return 1
+	case HigherIsBetter:
+		return -1
+	case Ungated:
+		return 0
+	}
+	return Direction(s.Metric)
 }
 
 // Options tunes Compare. ThresholdPct is the minimum |relative delta|
@@ -47,31 +78,12 @@ type Delta struct {
 	Improvement bool
 }
 
-// Direction classifies a metric's polarity for regression gating:
-// +1 when a higher value is worse (elapsed time, packets, retransmits —
-// the default for cost-like quantities), −1 when higher is better
-// (cache hit ratio, bytes saved), and 0 for bookkeeping quantities that
-// must not be gated on (seeds, run indices, event counts).
+// Direction classifies a benchmark metric's polarity by its name, for
+// samples that declare none: −1 (higher is better) for throughputs
+// (_per_sec) and speedups (_speedup_ratio), +1 (higher is worse) for
+// everything else — ns/op, seconds, packets, bytes, allocations.
 func Direction(metric string) int {
-	switch metric {
-	case "seed", "run", "procs", "iterations",
-		"timeline_events", "timeline_spans",
-		"responses_200", "responses_304", "responses_206",
-		"faults_injected", "sim_events":
-		return 0
-	case "cache_hits", "cache_hit_ratio", "cache_bytes_saved",
-		"requests_recovered", "engine_speedup_ratio":
-		return -1
-	case "critical_path_ms":
-		// The page-load gating chain's length: lower is better. Listed
-		// explicitly (though it matches the cost-like default) because
-		// perfdiff gates on it — the blame_*_ms columns are
-		// request-second totals and fall through to the same polarity.
-		return 1
-	}
-	// Throughput metrics (events_per_sec, packets_per_sec, ...): higher
-	// is better.
-	if strings.HasSuffix(metric, "_per_sec") {
+	if strings.HasSuffix(metric, "_per_sec") || strings.HasSuffix(metric, "_speedup_ratio") {
 		return -1
 	}
 	return 1
@@ -79,7 +91,7 @@ func Direction(metric string) int {
 
 // Compare pairs the samples of two snapshots by (cell, metric) and
 // returns one Delta per pair present on both sides, ordered by cell
-// then metric. Metrics with Direction 0 are skipped. A delta is flagged
+// then metric. Ungated metrics are skipped. A delta is flagged
 // Significant only when it exceeds opt.ThresholdPct and the Student-t
 // 95% confidence intervals of the two populations are disjoint.
 func Compare(old, new []Sample, opt Options) []Delta {
@@ -94,7 +106,7 @@ func Compare(old, new []Sample, opt Options) []Delta {
 	}
 	var out []Delta
 	for _, s := range new {
-		dir := Direction(s.Metric)
+		dir := s.direction()
 		if dir == 0 {
 			continue
 		}

@@ -55,13 +55,23 @@ func TestCompareBelowThresholdNotSignificant(t *testing.T) {
 }
 
 // TestCompareHigherIsBetterMetrics: a drop in a higher-is-better metric
-// is the regression.
+// is the regression, whether the sample declares its polarity or the
+// benchmark naming rules supply it.
 func TestCompareHigherIsBetterMetrics(t *testing.T) {
 	old := samples("a/b", "cache_hit_ratio", 0.90, 0.91, 0.89, 0.90, 0.90)
 	new := samples("a/b", "cache_hit_ratio", 0.50, 0.51, 0.49, 0.50, 0.50)
+	old[0].Better, new[0].Better = HigherIsBetter, HigherIsBetter
 	ds := Compare(old, new, Options{})
 	if len(ds) != 1 || !ds[0].Regression {
 		t.Fatalf("hit-ratio drop not a regression: %+v", ds)
+	}
+	for metric, want := range map[string]int{
+		"ns_per_op": 1, "allocs_per_packet": 1, "pipeline_first_sec": 1,
+		"events_per_sec": -1, "mux_frames_per_sec": -1, "engine_speedup_ratio": -1,
+	} {
+		if got := Direction(metric); got != want {
+			t.Errorf("Direction(%q) = %d, want %d", metric, got, want)
+		}
 	}
 }
 
@@ -86,6 +96,7 @@ func TestDirectionCriticalPath(t *testing.T) {
 func TestCompareSkipsNeutralAndUnpaired(t *testing.T) {
 	old := append(samples("a/b", "seed", 1, 2), samples("only-old", "packets", 5)...)
 	new := append(samples("a/b", "seed", 3, 4), samples("only-new", "packets", 5)...)
+	old[0].Better, new[0].Better = Ungated, Ungated
 	if ds := Compare(old, new, Options{}); len(ds) != 0 {
 		t.Fatalf("neutral/unpaired compared: %+v", ds)
 	}
